@@ -20,7 +20,7 @@
 //     buffer, new stage-ins and task writes bound for it fall back to the
 //     PFS instead of queueing on degraded bandwidth.
 //
-// Every decision follows a total order (registry file order, workflow task
+// Every decision follows a total order (the spill order, workflow task
 // order, documented tie-breaks), so adaptive runs replay bit-identically.
 // Copies still in flight when the last task finishes are abandoned with the
 // rest of the event queue (the makespan is fixed then, and the capacity
@@ -68,16 +68,22 @@ type adaptState struct {
 	// degraded counts open degradation windows per service (windows may
 	// overlap, so a bool would close early).
 	degraded map[storage.Service]int
+	// spillLess and spillExempt are the engine's spillBefore and
+	// spillExempt, bound once so a spill pick builds no closure.
+	spillLess   func(a, b *workflow.File) bool
+	spillExempt func(*workflow.File) bool
 }
 
-func newAdaptState(pol adapt.Policy) *adaptState {
+func (e *engine) newAdaptState(pol adapt.Policy) *adaptState {
 	return &adaptState{
-		pol:        pol,
-		spilling:   map[storage.Service]bool{},
-		spills:     map[*workflow.File]*adaptCopy{},
-		spillBytes: map[storage.Service]units.Bytes{},
-		repls:      map[*workflow.File]*adaptCopy{},
-		degraded:   map[storage.Service]int{},
+		pol:         pol,
+		spilling:    map[storage.Service]bool{},
+		spills:      map[*workflow.File]*adaptCopy{},
+		spillBytes:  map[storage.Service]units.Bytes{},
+		repls:       map[*workflow.File]*adaptCopy{},
+		degraded:    map[storage.Service]int{},
+		spillLess:   e.spillBefore,
+		spillExempt: e.spillExempt,
 	}
 }
 
@@ -168,16 +174,13 @@ func (e *engine) adaptSpill(svc storage.Service) {
 // replays pick identically. Checkpoint snapshots are excluded (their chains
 // manage their own replicas), as are files already mid-spill.
 func (e *engine) spillCandidate(svc storage.Service) *workflow.File {
-	var best *workflow.File
-	for _, f := range e.sys.Registry().FilesOn(svc) {
-		if e.ad.spills[f] != nil || e.ckptOf[f] != nil {
-			continue
-		}
-		if best == nil || e.spillBefore(f, best) {
-			best = f
-		}
-	}
-	return best
+	return e.sys.Registry().MinOn(svc, e.ad.spillLess, e.ad.spillExempt)
+}
+
+// spillExempt reports whether f is out of spillCandidate's reach: mid-spill
+// or a checkpoint snapshot.
+func (e *engine) spillExempt(f *workflow.File) bool {
+	return e.ad.spills[f] != nil || e.ckptOf[f] != nil
 }
 
 // spillBefore reports whether a spills before b (see spillCandidate).
