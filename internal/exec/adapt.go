@@ -68,22 +68,16 @@ type adaptState struct {
 	// degraded counts open degradation windows per service (windows may
 	// overlap, so a bool would close early).
 	degraded map[storage.Service]int
-	// spillLess and spillExempt are the engine's spillBefore and
-	// spillExempt, bound once so a spill pick builds no closure.
-	spillLess   func(a, b *workflow.File) bool
-	spillExempt func(*workflow.File) bool
 }
 
-func (e *engine) newAdaptState(pol adapt.Policy) *adaptState {
+func newAdaptState(pol adapt.Policy) *adaptState {
 	return &adaptState{
-		pol:         pol,
-		spilling:    map[storage.Service]bool{},
-		spills:      map[*workflow.File]*adaptCopy{},
-		spillBytes:  map[storage.Service]units.Bytes{},
-		repls:       map[*workflow.File]*adaptCopy{},
-		degraded:    map[storage.Service]int{},
-		spillLess:   e.spillBefore,
-		spillExempt: e.spillExempt,
+		pol:        pol,
+		spilling:   map[storage.Service]bool{},
+		spills:     map[*workflow.File]*adaptCopy{},
+		spillBytes: map[storage.Service]units.Bytes{},
+		repls:      map[*workflow.File]*adaptCopy{},
+		degraded:   map[storage.Service]int{},
 	}
 }
 
@@ -174,7 +168,7 @@ func (e *engine) adaptSpill(svc storage.Service) {
 // replays pick identically. Checkpoint snapshots are excluded (their chains
 // manage their own replicas), as are files already mid-spill.
 func (e *engine) spillCandidate(svc storage.Service) *workflow.File {
-	return e.sys.Registry().MinOn(svc, e.ad.spillLess, e.ad.spillExempt)
+	return e.sys.Registry().MinOn(svc, e.spillBefore, e.spillExempt)
 }
 
 // spillExempt reports whether f is out of spillCandidate's reach: mid-spill

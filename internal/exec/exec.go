@@ -222,7 +222,7 @@ func Run(sys *storage.System, wf *workflow.Workflow, cfg Config) (*trace.Trace, 
 		e.ckptOf = map[*workflow.File]*ckptRec{}
 	}
 	if cfg.Adapt.Enabled() {
-		e.ad = e.newAdaptState(cfg.Adapt)
+		e.ad = newAdaptState(cfg.Adapt)
 	}
 	for _, f := range wf.Files() {
 		e.readers[f.Index()] = len(f.Consumers())

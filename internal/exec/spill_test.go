@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -45,7 +46,16 @@ func TestSpillCandidateOrder(t *testing.T) {
 		files = append(files, f)
 	}
 	// A snapshot outside the DAG, larger than everything: never a victim.
+	// Snapshots are numbered by their own workflow, so after a long
+	// checkpointing run their Index() runs past the DAG's readers table;
+	// the pick must not consult readers for them.
+	for i := 0; i <= len(readers); i++ {
+		ckptWf.MustAddFile(fmt.Sprintf("snap%d", i), units.MB)
+	}
 	snap := ckptWf.MustAddFile("snap", 500*units.MB)
+	if snap.Index() < len(readers) {
+		t.Fatalf("fixture: snapshot index %d inside readers (len %d)", snap.Index(), len(readers))
+	}
 	files = append(files, snap)
 
 	for seed := int64(1); seed <= 12; seed++ {
@@ -55,7 +65,7 @@ func TestSpillCandidateOrder(t *testing.T) {
 			readers: append([]int(nil), readers...),
 			ckptOf:  map[*workflow.File]*ckptRec{snap: {file: snap}},
 		}
-		e.ad = e.newAdaptState(adapt.Policy{})
+		e.ad = newAdaptState(adapt.Policy{})
 		e.ad.spills[wf.File("hot")] = &adaptCopy{}
 		bb, reg := e.sys.SharedBB(), e.sys.Registry()
 

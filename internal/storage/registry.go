@@ -142,10 +142,9 @@ func (r *Registry) FilesOn(svc Service) []*workflow.File {
 
 // MinOn returns the least file under less among those on svc that skip
 // does not reject, or nil when none qualifies. less must be a strict total
-// order, so the pick is independent of slot order; skip is consulted only
-// for files that would beat the pick so far. MinOn does not allocate;
-// callers on hot paths pass func values built once, not per-call
-// closures.
+// order, so the pick is independent of slot order. skip is consulted first
+// for every file, so less only ever sees files skip accepts. MinOn itself
+// does not allocate.
 func (r *Registry) MinOn(svc Service, less func(a, b *workflow.File) bool, skip func(*workflow.File) bool) *workflow.File {
 	h := r.held[svc]
 	if h == nil {
@@ -153,7 +152,7 @@ func (r *Registry) MinOn(svc Service, less func(a, b *workflow.File) bool, skip 
 	}
 	var best *workflow.File
 	for _, f := range h.files {
-		if (best == nil || less(f, best)) && !skip(f) {
+		if !skip(f) && (best == nil || less(f, best)) {
 			best = f
 		}
 	}

@@ -126,7 +126,14 @@ func checkRegistry(t *testing.T, step string, fx registryFixture, reg *Registry,
 		if got := reg.BytesOn(svc); got != bytes {
 			t.Fatalf("%s: BytesOn(%s) = %v, want %v", step, svc.Name(), got, bytes)
 		}
-		if got := reg.MinOn(svc, minPickLess, skip); got != pick {
+		// MinOn's contract: less only ever sees files skip accepts.
+		less := func(a, b *workflow.File) bool {
+			if skip(a) || skip(b) {
+				t.Fatalf("%s: MinOn(%s) compared %s with %s; one is skipped", step, svc.Name(), a.ID(), b.ID())
+			}
+			return minPickLess(a, b)
+		}
+		if got := reg.MinOn(svc, less, skip); got != pick {
 			t.Fatalf("%s: MinOn(%s) = %v, want %v", step, svc.Name(), got, pick)
 		}
 		if h := reg.held[svc]; h != nil {
